@@ -41,7 +41,7 @@
 #include "fed/codec.hpp"
 #include "fed/fault_injection.hpp"
 #include "fed/federation.hpp"
-#include "fed/tcp_transport.hpp"
+#include "fed/transport.hpp"
 #include "serve/epoll_server.hpp"
 #include "serve/serve_federation.hpp"
 #include "serve/server.hpp"
@@ -153,8 +153,8 @@ GateCase run_gate_case(std::size_t workers, bool faults) {
 // ---------------------------------------------------------------------------
 // Part 2: TCP throughput through the epoll front end.
 
-/// Minimal blocking frame client (the front end is not an echo peer, so
-/// TcpTransport does not apply).
+/// Minimal blocking frame client: sends raw frames so the bench times the
+/// front end without ServeClient's session handshake in the loop.
 class BenchClient {
  public:
   explicit BenchClient(std::uint16_t port) {

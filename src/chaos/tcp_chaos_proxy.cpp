@@ -13,7 +13,7 @@
 #include <cstring>
 #include <utility>
 
-#include "fed/tcp_transport.hpp"
+#include "fed/transport.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::chaos {

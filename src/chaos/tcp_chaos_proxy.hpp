@@ -25,7 +25,7 @@
 // first-arrival dedup, stalls by bounded waits. Fault *counts* are
 // deterministic; fault *victims* are not; committed bytes are.
 //
-// Threading mirrors TcpReflector: an accept-loop thread plus two pump
+// Threading is thread-per-connection: an accept-loop thread plus two pump
 // threads per live connection (client->server applies the fault;
 // server->client relays verbatim). Finished handlers are reaped on the
 // accept path, so a churny soak holds threads per live connection, not

@@ -39,13 +39,10 @@ std::size_t RoundResult::effective_clients() const noexcept {
                                          : std::size_t{0};
 }
 
-FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
-                                       Transport* transport,
-                                       AggregationMode mode,
-                                       const ModelCodec* codec)
+RoundLoop::RoundLoop(std::vector<FederatedClient*> clients,
+                     Transport* transport, const ModelCodec* codec)
     : clients_(std::move(clients)),
       transport_(transport),
-      mode_(mode),
       codec_(codec != nullptr ? codec : &Float32Codec::instance()) {
   FEDPOWER_EXPECTS(!clients_.empty());
   FEDPOWER_EXPECTS(transport_ != nullptr);
@@ -53,75 +50,42 @@ FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
   client_transports_.assign(clients_.size(), nullptr);
 }
 
-void FederatedAveraging::initialize(std::vector<double> global) {
-  FEDPOWER_EXPECTS(!global.empty());
-  global_ = std::move(global);
-}
-
-void FederatedAveraging::set_sampling(const SamplingConfig& config) {
+void RoundLoop::set_sampling(const SamplingConfig& config) {
   FEDPOWER_EXPECTS(config.fraction > 0.0 && config.fraction <= 1.0);
   FEDPOWER_EXPECTS(config.min_clients >= 1);
   sampling_ = config;
   participation_rng_ = util::Rng{config.seed};
 }
 
-void FederatedAveraging::set_participation(double fraction,
-                                           std::uint64_t seed) {
-  SamplingConfig config;
-  config.fraction = fraction;
-  config.seed = seed;
-  set_sampling(config);
-}
-
-void FederatedAveraging::set_quorum(std::size_t min_survivors) {
-  FEDPOWER_EXPECTS(min_survivors >= 1 && min_survivors <= clients_.size());
-  quorum_ = min_survivors;
-}
-
-void FederatedAveraging::set_client_transport(std::size_t client,
-                                              Transport* transport) {
+void RoundLoop::set_client_transport(std::size_t client,
+                                     Transport* transport) {
   FEDPOWER_EXPECTS(client < clients_.size());
   FEDPOWER_EXPECTS(transport != nullptr);
   client_transports_[client] = transport;
   transport_dedup_stale_ = true;
 }
 
-void FederatedAveraging::enable_defense(const DefenseConfig& config) {
-  if (!config.enabled) {
-    defense_.reset();
-    return;
-  }
-  FEDPOWER_EXPECTS(rounds_completed_ == 0);
-  defense_.emplace(config, clients_.size());
-}
-
-void FederatedAveraging::set_round_deadline(double seconds) {
+void RoundLoop::set_round_deadline(double seconds) {
   FEDPOWER_EXPECTS(seconds >= 0.0);
   deadline_s_ = seconds;
 }
 
-void FederatedAveraging::set_trim_count(std::size_t trim_count) {
-  trim_count_override_ = true;
-  trim_count_ = trim_count;
-}
-
-void FederatedAveraging::set_local_executor(util::ParallelFor executor) {
+void RoundLoop::set_local_executor(util::ParallelFor executor) {
   executor_ = std::move(executor);
 }
 
-Transport& FederatedAveraging::transport_for(std::size_t client) noexcept {
+Transport& RoundLoop::transport_for(std::size_t client) noexcept {
   Transport* t = client_transports_[client];
   return t != nullptr ? *t : *transport_;
 }
 
-std::size_t FederatedAveraging::total_transport_retries() const {
-  // Retry accounting runs twice per round; the historic implementation
-  // deduplicated with an O(n^2) std::find over a pointer vector, which is
-  // pathological once every client owns its own transport (100k clients =
-  // 10^10 pointer compares per round). Sort-based dedup instead, cached
-  // until the transport wiring changes. Address order is not stable across
-  // runs, but the sum over the distinct set is order-independent, so the
-  // result stays deterministic.
+std::size_t RoundLoop::total_transport_retries() const {
+  // Retry accounting runs twice per round. Deduplicating with std::find
+  // over a pointer vector is pathological once every client owns its own
+  // transport (100k clients = 10^10 pointer compares per round), so the
+  // distinct set is sorted once and cached until the wiring changes.
+  // Address order is not stable across runs, but the sum over the distinct
+  // set is order-independent, so the result stays deterministic.
   if (transport_dedup_stale_) {
     transport_dedup_.clear();
     transport_dedup_.reserve(client_transports_.size() + 1);
@@ -139,7 +103,8 @@ std::size_t FederatedAveraging::total_transport_retries() const {
   return total;
 }
 
-std::vector<std::size_t> FederatedAveraging::draw_participants() {
+std::vector<std::size_t> RoundLoop::draw_participants(
+    const DefensePipeline* defense) {
   std::vector<std::size_t> all(clients_.size());
   std::iota(all.begin(), all.end(), std::size_t{0});
   // Full participation consumes no randomness: the historic RNG stream
@@ -153,10 +118,10 @@ std::vector<std::size_t> FederatedAveraging::draw_participants() {
   // eligible and the shuffle consumes exactly the historic stream.
   std::vector<std::size_t> eligible;
   std::vector<std::size_t> riders;
-  if (defense_ && sampling_.quarantine_aware) {
+  if (defense != nullptr && sampling_.quarantine_aware) {
     eligible.reserve(all.size());
     for (const std::size_t i : all)
-      (defense_->quarantined(i) ? riders : eligible).push_back(i);
+      (defense->quarantined(i) ? riders : eligible).push_back(i);
   } else {
     eligible = std::move(all);
   }
@@ -178,39 +143,37 @@ std::vector<std::size_t> FederatedAveraging::draw_participants() {
   return eligible;
 }
 
-RoundResult FederatedAveraging::run_round() {
-  FEDPOWER_EXPECTS(!global_.empty());
-  RoundResult result;
-  // The counter is bumped only after aggregation: a round that throws
-  // (transport fault cascade below quorum) leaves it untouched.
-  result.round = rounds_completed_ + 1;
-  result.participants = draw_participants();
+ClientExchange RoundLoop::exchange(
+    const std::vector<std::size_t>& participants,
+    std::span<const double> global, const UploadSink& sink) {
+  ClientExchange out;
   const std::size_t retries_before = total_transport_retries();
 
   // Broadcast theta_r to every participating client (Algorithm 2 line 3).
   // Each client receives its own transfer, as over a real network; a
   // client whose link faults is dropped for the round but must not abort
   // it (FedAvg with partial participation covers the survivors).
-  std::vector<char> lost(clients_.size(), 0);
+  out.lost.assign(clients_.size(), 0);
+  out.straggler.assign(clients_.size(), 0);
   // Per-client transport latency this round (downlink now, uplink added
   // below). Transfers are serial in client-index order, so the cumulative-
   // latency delta around one transfer is exactly that client's share even
   // when clients share a link.
   const bool deadline_armed = deadline_s_ > 0.0;
   std::vector<double> link_latency(deadline_armed ? clients_.size() : 0, 0.0);
-  const std::vector<std::uint8_t> broadcast = codec_->encode(global_);
-  for (const std::size_t i : result.participants) {
+  const std::vector<std::uint8_t> broadcast = codec_->encode(global);
+  for (const std::size_t i : participants) {
     const double latency_before =
         deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
     try {
       const auto delivered =
           transport_for(i).transfer(Direction::kDownlink, broadcast);
       clients_[i]->receive_global(codec_->decode(delivered));
-      result.downlink_bytes += delivered.size();
+      out.downlink_bytes += delivered.size();
     } catch (const TransportError&) {
-      lost[i] = 1;  // unreachable device
+      out.lost[i] = 1;  // unreachable device
     } catch (const std::invalid_argument&) {
-      lost[i] = 1;  // payload damaged in flight, codec rejected it
+      out.lost[i] = 1;  // payload damaged in flight, codec rejected it
     }
     if (deadline_armed)
       link_latency[i] =
@@ -224,100 +187,168 @@ RoundResult FederatedAveraging::run_round() {
   // schedule cannot change what they learn and the result matches the
   // serial loop bit for bit.
   std::vector<std::size_t> training;
-  training.reserve(result.participants.size());
-  for (const std::size_t i : result.participants)
-    if (!lost[i]) training.push_back(i);
+  training.reserve(participants.size());
+  for (const std::size_t i : participants)
+    if (!out.lost[i]) training.push_back(i);
   util::for_each_index(executor_, training.size(), [&](std::size_t k) {
     clients_[training[k]]->run_local_round();
   });
 
   // Upload (line 6), serial and in client-index order — transports are not
   // thread-safe, fault-injection streams must see one deterministic
-  // transfer sequence, and the defense screens below accumulate history in
-  // client order (DESIGN.md §7). Aggregation is synchronous over the
-  // survivors.
+  // transfer sequence, and a sink that screens inline accumulates defense
+  // history in client order (DESIGN.md §7).
+  for (const std::size_t i : training) {
+    try {
+      const double latency_before =
+          deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
+      auto payload = transport_for(i).transfer(
+          Direction::kUplink,
+          codec_->encode(clients_[i]->local_parameters()));
+      if (deadline_armed) {
+        // Deadline demotion: a client whose downlink + uplink latency blew
+        // the round budget is a dropout, not a suspect — its upload never
+        // reaches the sink, so no defense observation is recorded and an
+        // honest-but-slow client keeps its reputation (DESIGN.md §13).
+        const double round_latency =
+            link_latency[i] +
+            (transport_for(i).cumulative_latency_s() - latency_before);
+        if (round_latency > deadline_s_) {
+          out.straggler[i] = 1;
+          out.lost[i] = 1;
+          continue;
+        }
+      }
+      if (!sink(i, std::move(payload))) out.lost[i] = 1;
+    } catch (const TransportError&) {
+      out.lost[i] = 1;
+    } catch (const std::invalid_argument&) {
+      out.lost[i] = 1;
+    }
+  }
+  out.transport_retries = total_transport_retries() - retries_before;
+  return out;
+}
+
+FederatedAveraging::FederatedAveraging(std::vector<FederatedClient*> clients,
+                                       Transport* transport,
+                                       AggregationMode mode,
+                                       const ModelCodec* codec)
+    : loop_(std::move(clients), transport, codec), mode_(mode) {}
+
+void FederatedAveraging::initialize(std::vector<double> global) {
+  FEDPOWER_EXPECTS(!global.empty());
+  global_ = std::move(global);
+}
+
+void FederatedAveraging::set_sampling(const SamplingConfig& config) {
+  loop_.set_sampling(config);
+}
+
+void FederatedAveraging::set_quorum(std::size_t min_survivors) {
+  FEDPOWER_EXPECTS(min_survivors >= 1 &&
+                   min_survivors <= loop_.client_count());
+  quorum_ = min_survivors;
+}
+
+void FederatedAveraging::set_client_transport(std::size_t client,
+                                              Transport* transport) {
+  loop_.set_client_transport(client, transport);
+}
+
+void FederatedAveraging::enable_defense(const DefenseConfig& config) {
+  if (!config.enabled) {
+    defense_.reset();
+    return;
+  }
+  FEDPOWER_EXPECTS(rounds_completed_ == 0);
+  defense_.emplace(config, loop_.client_count());
+}
+
+void FederatedAveraging::set_round_deadline(double seconds) {
+  loop_.set_round_deadline(seconds);
+}
+
+void FederatedAveraging::set_trim_count(std::size_t trim_count) {
+  trim_count_override_ = true;
+  trim_count_ = trim_count;
+}
+
+void FederatedAveraging::set_local_executor(util::ParallelFor executor) {
+  loop_.set_local_executor(std::move(executor));
+}
+
+RoundResult FederatedAveraging::run_round() {
+  FEDPOWER_EXPECTS(!global_.empty());
+  RoundResult result;
+  // The counter is bumped only after aggregation: a round that throws
+  // (transport fault cascade below quorum) leaves it untouched.
+  result.round = rounds_completed_ + 1;
+  result.participants =
+      loop_.draw_participants(defense_ ? &*defense_ : nullptr);
+
+  // The server half: each delivered upload is decoded and screened as it
+  // arrives, in client-index order, and the defense screens accumulate
+  // history in that order (DESIGN.md §7). Aggregation is synchronous over
+  // the survivors.
+  const std::size_t n = loop_.client_count();
   std::vector<std::vector<double>> locals;
   std::vector<double> weights;
-  std::vector<char> straggler(clients_.size(), 0);
-  std::vector<char> screened(clients_.size(), 0);
-  std::vector<char> defense_rejected(clients_.size(), 0);
-  std::vector<char> in_quarantine(clients_.size(), 0);
+  std::vector<char> screened(n, 0);
+  std::vector<char> defense_rejected(n, 0);
+  std::vector<char> in_quarantine(n, 0);
   if (defense_)
     for (const std::size_t i : result.participants)
       if (defense_->quarantined(i)) in_quarantine[i] = 1;
   std::vector<ScreenObservation> observations;
   observations.reserve(result.participants.size());
   locals.reserve(result.participants.size());
-  for (const std::size_t i : training) {
-    try {
-      const double latency_before =
-          deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
-      const auto payload = transport_for(i).transfer(
-          Direction::kUplink,
-          codec_->encode(clients_[i]->local_parameters()));
-      if (deadline_armed) {
-        // Deadline demotion: a client whose downlink + uplink latency blew
-        // the round budget is a dropout, not a suspect — its upload is
-        // discarded before decoding or screening, so no defense
-        // observation is recorded and an honest-but-slow client keeps its
-        // reputation (DESIGN.md §13).
-        const double round_latency =
-            link_latency[i] +
-            (transport_for(i).cumulative_latency_s() - latency_before);
-        if (round_latency > deadline_s_) {
-          straggler[i] = 1;
-          lost[i] = 1;
-          continue;
+  const ClientExchange exchange = loop_.exchange(
+      result.participants, global_,
+      [&](std::size_t i, std::vector<std::uint8_t> payload) {
+        auto local = loop_.codec().decode(payload);
+        // Decoded to the wrong shape: treat as corrupt.
+        if (local.size() != global_.size()) return false;
+        // Server-side screening: a NaN or infinity anywhere in an upload
+        // would poison every mean-style aggregate, so a diverged (or
+        // malicious) model is excluded exactly like a transport dropout.
+        // Shared with the serve pipeline (screening parity, DESIGN.md §13).
+        if (any_non_finite(local)) {
+          screened[i] = 1;
+          if (defense_) observations.push_back(defense_->non_finite(i));
+          return true;
         }
-      }
-      auto local = codec_->decode(payload);
-      if (local.size() != global_.size()) {
-        lost[i] = 1;  // decoded to the wrong shape: treat as corrupt
-        continue;
-      }
-      // Server-side screening: a NaN or infinity anywhere in an upload
-      // would poison every mean-style aggregate, so a diverged (or
-      // malicious) model is excluded exactly like a transport dropout.
-      // Shared with the serve pipeline (screening parity, DESIGN.md §13).
-      if (any_non_finite(local)) {
-        screened[i] = 1;
-        if (defense_) observations.push_back(defense_->non_finite(i));
-        continue;
-      }
-      result.uplink_bytes += payload.size();
-      if (defense_) {
-        // Screening may clip `local` in place; the verdict only feeds the
-        // reputation update after the quorum holds (commit_round below).
-        const ScreenObservation obs = defense_->screen(i, local, global_);
-        observations.push_back(obs);
-        const bool clean = obs.verdict == ScreenVerdict::kAccepted ||
-                           obs.verdict == ScreenVerdict::kClipped;
-        if (!clean) {
-          if (!in_quarantine[i]) defense_rejected[i] = 1;
-          continue;
+        result.uplink_bytes += payload.size();
+        if (defense_) {
+          // Screening may clip `local` in place; the verdict only feeds the
+          // reputation update after the quorum holds (commit_round below).
+          const ScreenObservation obs = defense_->screen(i, local, global_);
+          observations.push_back(obs);
+          const bool clean = obs.verdict == ScreenVerdict::kAccepted ||
+                             obs.verdict == ScreenVerdict::kClipped;
+          if (!clean) {
+            if (!in_quarantine[i]) defense_rejected[i] = 1;
+            return true;
+          }
+          // A quarantined client's clean upload feeds its probation streak
+          // but stays out of the aggregate until re-admission.
+          if (in_quarantine[i]) return true;
         }
-        // A quarantined client's clean upload feeds its probation streak
-        // but stays out of the aggregate until re-admission.
-        if (in_quarantine[i]) continue;
-      }
-      locals.push_back(std::move(local));
-      weights.push_back(
-          static_cast<double>(clients_[i]->local_sample_count()));
-    } catch (const TransportError&) {
-      lost[i] = 1;
-    } catch (const std::invalid_argument&) {
-      lost[i] = 1;
-    }
-  }
+        locals.push_back(std::move(local));
+        weights.push_back(
+            static_cast<double>(loop_.client(i).local_sample_count()));
+        return true;
+      });
 
   for (const std::size_t i : result.participants) {
-    if (lost[i]) result.dropped.push_back(i);
-    if (straggler[i]) result.stragglers.push_back(i);
+    if (exchange.lost[i]) result.dropped.push_back(i);
+    if (exchange.straggler[i]) result.stragglers.push_back(i);
     if (screened[i]) result.rejected.push_back(i);
     if (defense_rejected[i]) result.screened.push_back(i);
     if (in_quarantine[i]) result.quarantined.push_back(i);
   }
-  result.transport_retries = total_transport_retries() - retries_before;
+  result.downlink_bytes = exchange.downlink_bytes;
+  result.transport_retries = exchange.transport_retries;
 
   // An aborted round drops its screening observations along with the round
   // counter: reputations only move on completed rounds. The quorum is
@@ -343,7 +374,7 @@ RoundResult FederatedAveraging::run_round() {
       mode_, locals, weights,
       trim_count_override_ ? std::optional<std::size_t>(trim_count_)
                            : std::nullopt,
-      executor_, outcome);
+      loop_.executor(), outcome);
   result.trim_count = outcome.trim_count;
   result.trim_clamped = outcome.trim_clamped;
 
@@ -366,9 +397,9 @@ constexpr ckpt::Tag kFedTag{'F', 'A', 'V', 'G'};
 
 void FederatedAveraging::save_state(ckpt::Writer& out) const {
   write_tag(out, kFedTag);
-  out.u64(clients_.size());
+  out.u64(loop_.client_count());
   out.u64(rounds_completed_);
-  ckpt::save_rng(out, participation_rng_);
+  ckpt::save_rng(out, loop_.participation_rng());
   out.vec_f64(global_);
   // Appended only when the defense pipeline is armed: clean-run snapshots
   // keep the pre-defense byte format.
@@ -378,18 +409,19 @@ void FederatedAveraging::save_state(ckpt::Writer& out) const {
 void FederatedAveraging::restore_state(ckpt::Reader& in) {
   expect_tag(in, kFedTag, "federated averaging server");
   const std::uint64_t client_count = in.u64();
-  if (client_count != clients_.size())
+  if (client_count != loop_.client_count())
     throw ckpt::StateMismatchError(
         "federation snapshot was taken with " + std::to_string(client_count) +
-        " client(s), this federation has " + std::to_string(clients_.size()));
+        " client(s), this federation has " +
+        std::to_string(loop_.client_count()));
   rounds_completed_ = in.u64();
-  ckpt::restore_rng(in, participation_rng_);
+  ckpt::restore_rng(in, loop_.participation_rng());
   global_ = in.vec_f64();
   // An uninitialized client reports an empty model, which says nothing
   // about shape; only a client that already holds parameters can expose a
   // snapshot/fleet mismatch.
   const std::size_t client_params =
-      clients_.front()->local_parameters().size();
+      loop_.client(0).local_parameters().size();
   if (!global_.empty() && client_params != 0 &&
       global_.size() != client_params)
     throw ckpt::StateMismatchError(

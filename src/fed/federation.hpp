@@ -5,6 +5,8 @@
 // the clients upload their local models; the server averages them into the
 // next global model. Models cross the transport as float32 payloads
 // (nn/serialize.hpp), so the traffic statistics reflect real wire sizes.
+// RoundLoop is the client half of that round (draw, broadcast, training,
+// uplink); serve::ServeFederation runs the same loop.
 //
 // Privacy property enforced by construction: the only data type that can
 // cross the Transport is an encoded parameter vector — replay-buffer
@@ -13,6 +15,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <optional>
 #include <span>
 #include <stdexcept>
@@ -131,9 +134,6 @@ struct RoundResult {
   /// listed in several exclusion categories is subtracted exactly once
   /// (naively summing the lists double-counts and underflows).
   std::size_t effective_clients() const noexcept;
-
-  /// Legacy name for effective_clients().
-  std::size_t survivors() const noexcept { return effective_clients(); }
 };
 
 /// Thrown by run_round when fewer clients than the configured quorum
@@ -157,6 +157,89 @@ class QuorumError final : public std::runtime_error {
   std::size_t required_;
 };
 
+/// What the client half of a round hands back to the server half.
+struct ClientExchange {
+  std::size_t downlink_bytes = 0;
+  /// Transport-level reconnect/retry attempts during the exchange.
+  std::size_t transport_retries = 0;
+  /// Indexed by client. Set for a participant lost to a transport fault, a
+  /// payload the codec or the upload sink rejected, or the deadline.
+  std::vector<char> lost;
+  /// Indexed by client. Set for a participant demoted by the round
+  /// deadline (every straggler is also lost).
+  std::vector<char> straggler;
+};
+
+/// The client half of one synchronous round, shared by FederatedAveraging
+/// and serve::ServeFederation: the participant draw, per-client transport
+/// routing, the broadcast, parallel local training and the serial uplink
+/// in client-index order with deadline demotion. Each delivered upload goes
+/// to the driver's sink, inside the uplink loop, so a driver that screens
+/// inline sees uploads interleaved with the transfers exactly as they
+/// arrive. The loop never looks at what the sink does with an upload.
+class RoundLoop {
+ public:
+  /// Receives one delivered upload (client index, bytes as received).
+  /// Returns false — or throws std::invalid_argument — when the payload is
+  /// unusable; the client then counts as lost, like a transport fault.
+  using UploadSink =
+      std::function<bool(std::size_t client, std::vector<std::uint8_t>)>;
+
+  /// Clients, transport and codec are non-owning and must outlive the
+  /// loop; a null codec selects the paper's float32 wire format.
+  RoundLoop(std::vector<FederatedClient*> clients, Transport* transport,
+            const ModelCodec* codec);
+
+  void set_sampling(const SamplingConfig& config);
+  const SamplingConfig& sampling() const noexcept { return sampling_; }
+  void set_client_transport(std::size_t client, Transport* transport);
+  void set_round_deadline(double seconds);
+  void set_local_executor(util::ParallelFor executor);
+  const util::ParallelFor& executor() const noexcept { return executor_; }
+
+  /// This round's participants, sorted (see SamplingConfig). With a
+  /// defense pipeline, quarantine-aware sampling draws from the admitted
+  /// clients and adds the quarantined ones as probation riders.
+  std::vector<std::size_t> draw_participants(const DefensePipeline* defense);
+
+  /// Broadcasts `global`, trains every reachable participant, then uploads
+  /// each trained model in client-index order and passes it to `sink`.
+  /// `global` is encoded once, before the first transfer.
+  ClientExchange exchange(const std::vector<std::size_t>& participants,
+                          std::span<const double> global,
+                          const UploadSink& sink);
+
+  FederatedClient& client(std::size_t i) const noexcept {
+    return *clients_[i];
+  }
+  std::size_t client_count() const noexcept { return clients_.size(); }
+  const ModelCodec& codec() const noexcept { return *codec_; }
+  /// The participation stream; each driver checkpoints it in its section.
+  util::Rng& participation_rng() noexcept { return participation_rng_; }
+  const util::Rng& participation_rng() const noexcept {
+    return participation_rng_;
+  }
+
+ private:
+  Transport& transport_for(std::size_t client) noexcept;
+  std::size_t total_transport_retries() const;
+
+  std::vector<FederatedClient*> clients_;
+  Transport* transport_;
+  /// Per-client overrides (null = the shared transport).
+  std::vector<Transport*> client_transports_;
+  /// Distinct transports (shared + overrides), sorted by address; rebuilt
+  /// lazily after set_client_transport so per-round retry accounting is one
+  /// linear pass instead of an O(n^2) pointer scan.
+  mutable std::vector<const Transport*> transport_dedup_;
+  mutable bool transport_dedup_stale_ = true;
+  const ModelCodec* codec_;
+  util::ParallelFor executor_;  ///< empty = serial local rounds
+  SamplingConfig sampling_{};
+  double deadline_s_ = 0.0;
+  util::Rng participation_rng_{0};
+};
+
 class FederatedAveraging {
  public:
   /// Clients, transport and codec are non-owning and must outlive the
@@ -175,11 +258,7 @@ class FederatedAveraging {
   void set_sampling(const SamplingConfig& config);
 
   /// The active sampling configuration (full participation by default).
-  const SamplingConfig& sampling() const noexcept { return sampling_; }
-
-  /// Legacy entry point: set_sampling with the given fraction/seed and the
-  /// default floor (1) and quarantine awareness.
-  void set_participation(double fraction, std::uint64_t seed);
+  const SamplingConfig& sampling() const noexcept { return loop_.sampling(); }
 
   /// Minimum number of clients whose uploads must survive the round's
   /// transfers; below it run_round throws QuorumError and leaves the
@@ -197,8 +276,9 @@ class FederatedAveraging {
   /// rejected still aborts.
   void set_quorum(std::size_t min_survivors);
 
-  /// Routes client's transfers through its own transport (e.g. one TCP
-  /// connection per device) instead of the shared one. Non-owning.
+  /// Routes client's transfers through its own transport (e.g. a private
+  /// fault-injected link per device) instead of the shared one.
+  /// Non-owning.
   void set_client_transport(std::size_t client, Transport* transport);
 
   /// Per-round transport-latency budget per client, in simulated seconds;
@@ -254,8 +334,8 @@ class FederatedAveraging {
 
   const std::vector<double>& global_model() const noexcept { return global_; }
   std::size_t rounds_completed() const noexcept { return rounds_completed_; }
-  std::size_t client_count() const noexcept { return clients_.size(); }
-  const ModelCodec& codec() const noexcept { return *codec_; }
+  std::size_t client_count() const noexcept { return loop_.client_count(); }
+  const ModelCodec& codec() const noexcept { return loop_.codec(); }
 
   /// Serializes the server's round state: global model, round counter and
   /// the participation RNG stream (so a resumed run selects the same
@@ -266,30 +346,13 @@ class FederatedAveraging {
   void restore_state(ckpt::Reader& in);
 
  private:
-  std::vector<std::size_t> draw_participants();
-  Transport& transport_for(std::size_t client) noexcept;
-  std::size_t total_transport_retries() const;
-
-  std::vector<FederatedClient*> clients_;
-  Transport* transport_;  // lint: ckpt-skip(non-owning wiring; re-attached before resuming)
-  /// Per-client overrides. lint: ckpt-skip(non-owning wiring; re-attached before resuming)
-  std::vector<Transport*> client_transports_;
-  /// Distinct transports (shared + overrides), sorted by address; rebuilt
-  /// lazily after set_client_transport so per-round retry accounting is one
-  /// linear pass instead of the historic O(n^2) pointer scan.
-  // lint: ckpt-skip(lazy cache rebuilt from the transports on demand)
-  mutable std::vector<const Transport*> transport_dedup_;
-  mutable bool transport_dedup_stale_ = true;  // lint: ckpt-skip(lazy cache flag; stale default makes resume rebuild)
+  /// Wiring and config plus the participation stream, which save_state
+  /// checkpoints.
+  RoundLoop loop_;
   AggregationMode mode_;     // lint: ckpt-skip(construction config, fixed for the run)
-  const ModelCodec* codec_;  // lint: ckpt-skip(non-owning strategy object; re-wired on resume)
-  /// Empty = serial local rounds. lint: ckpt-skip(thread pool handle; rounds are width-invariant)
-  util::ParallelFor executor_;
   std::vector<double> global_;
   std::size_t rounds_completed_ = 0;
-  SamplingConfig sampling_{};  // lint: ckpt-skip(construction config, fixed for the run)
   std::size_t quorum_ = 1;     // lint: ckpt-skip(construction config, fixed for the run)
-  double deadline_s_ = 0.0;    // lint: ckpt-skip(construction config, fixed for the run)
-  util::Rng participation_rng_{0};
   std::optional<DefensePipeline> defense_;
   bool trim_count_override_ = false;  // lint: ckpt-skip(construction config, fixed for the run)
   std::size_t trim_count_ = 0;        // lint: ckpt-skip(construction config, fixed for the run)

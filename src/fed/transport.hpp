@@ -1,13 +1,15 @@
 // Transport abstraction between federated clients and the aggregation
-// server. The library ships an in-process implementation that moves payload
-// bytes, keeps per-direction traffic statistics (the paper reports 2.8 kB
-// per transfer, §IV-C) and models transmission latency; a socket-based
-// implementation would slot in behind the same interface without touching
-// the aggregation logic.
+// server, plus the length-prefixed frame format every socket path speaks.
+// The library ships an in-process implementation that moves payload bytes,
+// keeps per-direction traffic statistics (the paper reports 2.8 kB per
+// transfer, §IV-C) and models transmission latency. Real sockets carry the
+// same payloads through the serve stack (serve/epoll_server.hpp on the
+// server, serve/client.hpp on the device), framed by the helpers below.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -76,6 +78,20 @@ class Transport {
     return stats().total_latency_s;
   }
 };
+
+/// Serializes v into out[0..3] little-endian, independent of host order.
+void store_u32_le(std::uint32_t v, std::uint8_t* out) noexcept;
+
+/// Reads a little-endian u32 from in[0..3].
+std::uint32_t load_u32_le(const std::uint8_t* in) noexcept;
+
+/// Builds a complete wire frame: u32 LE length of (direction byte +
+/// payload), the direction byte (0 = uplink, 1 = downlink), the payload.
+std::vector<std::uint8_t> encode_frame(Direction direction,
+                                       std::span<const std::uint8_t> payload);
+
+/// Largest frame either side will accept (protocol sanity bound).
+inline constexpr std::size_t kMaxFrameBytes = 64 * 1024 * 1024;
 
 /// Lossless in-process delivery with traffic accounting and a linear
 /// latency model (fixed per-message cost plus bytes / bandwidth).

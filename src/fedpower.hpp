@@ -36,7 +36,6 @@
 #include "nn/matrix.hpp"
 #include "nn/mlp.hpp"
 #include "nn/optimizer.hpp"
-#include "nn/checkpoint.hpp"
 #include "nn/serialize.hpp"
 #include "rl/drift.hpp"
 #include "runtime/fleet_runtime.hpp"

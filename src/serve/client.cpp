@@ -15,7 +15,7 @@
 #include <cstring>
 #include <thread>
 
-#include "fed/tcp_transport.hpp"
+#include "fed/transport.hpp"
 #include "util/assert.hpp"
 
 namespace fedpower::serve {
@@ -48,13 +48,14 @@ void write_all(int fd, const void* data, std::size_t size) {
 }
 
 /// recv() the whole buffer; throws on error/timeout and on a peer close
-/// mid-buffer — the caller always expects a complete reply, so a clean
-/// close here still means the operation failed and must be retried.
-void read_exact(int fd, void* data, std::size_t size) {
+/// mid-buffer (with `on_close` as the message) — the caller always expects
+/// a complete reply, so a clean close here still means the operation
+/// failed and must be retried.
+void read_exact(int fd, void* data, std::size_t size, const char* on_close) {
   auto* p = static_cast<std::uint8_t*>(data);
   while (size > 0) {
     const ssize_t n = ::recv(fd, p, size, 0);
-    if (n == 0) throw TransportError("serve client: peer closed");
+    if (n == 0) throw TransportError(on_close);
     if (n < 0) {
       if (errno == EINTR) continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK)
@@ -158,12 +159,13 @@ void ServeClient::send_all(const std::vector<std::uint8_t>& frame) {
 std::vector<std::uint8_t> ServeClient::read_frame(
     std::uint8_t expect_direction) {
   std::uint8_t header[4];
-  read_exact(socket_, header, sizeof header);
+  read_exact(socket_, header, sizeof header, "serve client: peer closed");
   const std::uint32_t frame_len = fed::load_u32_le(header);
   if (frame_len == 0 || frame_len > fed::kMaxFrameBytes)
     throw TransportError("serve client: bad frame length");
   std::vector<std::uint8_t> body(frame_len);
-  read_exact(socket_, body.data(), body.size());
+  read_exact(socket_, body.data(), body.size(),
+             "serve client: truncated frame");
   if (body[0] != expect_direction)
     throw TransportError("serve client: direction mismatch");
   return {body.begin() + 1, body.end()};

@@ -1,10 +1,9 @@
 // Serve-wire client with reconnect/resume (DESIGN.md §14).
 //
-// TcpTransport cannot talk to the epoll front end — its exchange() insists
-// on echo semantics (the reply must repeat the sent frame), while the
-// front end answers an uplink with a 1-byte ack and a fetch with the
-// version + global model. This client speaks the serve wire protocol
-// natively and adds the resilience layer the TCP chaos stack leans on:
+// The device side of the socket path: the epoll front end answers an
+// uplink with a 1-byte ack and a fetch with the version + global model.
+// This client speaks that serve wire protocol and adds the resilience
+// layer the TCP chaos stack leans on:
 //
 //  * every operation retries over a fresh connection on transport error,
 //    with bounded exponential backoff and seeded jitter (util::Rng — the
@@ -18,9 +17,12 @@
 //    shows the server version has moved past the uplink's base version,
 //    the round is already committed and the re-send is skipped.
 //
-// Failure model matches TcpTransport: every connection-level fault
-// surfaces as fed::TransportError (after the retry budget), never process
-// death. Not thread-safe — one client per federation participant.
+// Failure model (DESIGN.md §6): every connection-level fault surfaces as
+// fed::TransportError (after the retry budget), never process death. A
+// reply header advertising a zero or oversized length is refused before
+// anything is allocated, and a peer close inside a frame body reports a
+// truncated frame, distinct from a close between frames. Not thread-safe
+// — one client per federation participant.
 #pragma once
 
 #include <cstdint>

@@ -15,7 +15,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "fed/tcp_transport.hpp"
 #include "fed/transport.hpp"
 #include "serve/wire.hpp"
 #include "util/assert.hpp"

@@ -1,9 +1,5 @@
 #include "serve/serve_federation.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <numeric>
-#include <stdexcept>
 #include <string>
 
 #include "ckpt/errors.hpp"
@@ -16,178 +12,64 @@ ServeFederation::ServeFederation(std::vector<fed::FederatedClient*> clients,
                                  fed::Transport* transport,
                                  ServeConfig config,
                                  const fed::ModelCodec* codec)
-    : clients_(std::move(clients)),
-      transport_(transport),
-      codec_(codec != nullptr ? codec : &fed::Float32Codec::instance()),
-      server_(clients_.empty() ? 1 : clients_.size(), config, codec_) {
-  FEDPOWER_EXPECTS(!clients_.empty());
-  FEDPOWER_EXPECTS(transport_ != nullptr);
-  for (const auto* client : clients_) FEDPOWER_EXPECTS(client != nullptr);
-  client_transports_.assign(clients_.size(), nullptr);
-}
+    : loop_(std::move(clients), transport, codec),
+      server_(loop_.client_count(), config, &loop_.codec()) {}
 
 void ServeFederation::initialize(std::vector<double> global) {
   server_.initialize(std::move(global));
 }
 
 void ServeFederation::set_sampling(const fed::SamplingConfig& config) {
-  FEDPOWER_EXPECTS(config.fraction > 0.0 && config.fraction <= 1.0);
-  FEDPOWER_EXPECTS(config.min_clients >= 1);
-  sampling_ = config;
-  participation_rng_ = util::Rng{config.seed};
+  loop_.set_sampling(config);
 }
 
 void ServeFederation::set_quorum(std::size_t min_survivors) {
-  FEDPOWER_EXPECTS(min_survivors >= 1 && min_survivors <= clients_.size());
+  FEDPOWER_EXPECTS(min_survivors >= 1 &&
+                   min_survivors <= loop_.client_count());
   quorum_ = min_survivors;
 }
 
 void ServeFederation::set_client_transport(std::size_t client,
                                            fed::Transport* transport) {
-  FEDPOWER_EXPECTS(client < clients_.size());
-  FEDPOWER_EXPECTS(transport != nullptr);
-  client_transports_[client] = transport;
-  transport_dedup_stale_ = true;
+  loop_.set_client_transport(client, transport);
 }
 
 void ServeFederation::set_round_deadline(double seconds) {
-  FEDPOWER_EXPECTS(seconds >= 0.0);
-  deadline_s_ = seconds;
+  loop_.set_round_deadline(seconds);
 }
 
 void ServeFederation::set_local_executor(util::ParallelFor executor) {
-  executor_ = executor;
+  loop_.set_local_executor(executor);
   server_.set_executor(std::move(executor));
-}
-
-fed::Transport& ServeFederation::transport_for(std::size_t client) noexcept {
-  fed::Transport* t = client_transports_[client];
-  return t != nullptr ? *t : *transport_;
-}
-
-std::size_t ServeFederation::total_transport_retries() const {
-  // Same sort-based dedup as FederatedAveraging: the sum over the distinct
-  // transport set is order-independent, so the result is deterministic.
-  if (transport_dedup_stale_) {
-    transport_dedup_.clear();
-    transport_dedup_.reserve(client_transports_.size() + 1);
-    transport_dedup_.push_back(transport_);
-    for (const fed::Transport* t : client_transports_)
-      if (t != nullptr) transport_dedup_.push_back(t);
-    std::sort(transport_dedup_.begin(), transport_dedup_.end());
-    transport_dedup_.erase(
-        std::unique(transport_dedup_.begin(), transport_dedup_.end()),
-        transport_dedup_.end());
-    transport_dedup_stale_ = false;
-  }
-  std::size_t total = 0;
-  for (const fed::Transport* t : transport_dedup_) total += t->stats().retries;
-  return total;
-}
-
-std::vector<std::size_t> ServeFederation::draw_participants() {
-  // FederatedAveraging::draw_participants with defense off: full
-  // participation consumes no randomness, a fractional draw shuffles the
-  // whole fleet and keeps the first `count`. Matching the RNG consumption
-  // exactly is part of the bit-identity contract.
-  std::vector<std::size_t> all(clients_.size());
-  std::iota(all.begin(), all.end(), std::size_t{0});
-  if (sampling_.fraction >= 1.0) return all;
-  const auto ceil_fraction = static_cast<std::size_t>(
-      std::ceil(sampling_.fraction * static_cast<double>(all.size())));
-  const std::size_t count =
-      std::min(all.size(), std::max({std::size_t{1}, sampling_.min_clients,
-                                     ceil_fraction}));
-  participation_rng_.shuffle(all);
-  all.resize(count);
-  std::sort(all.begin(), all.end());
-  return all;
 }
 
 fed::RoundResult ServeFederation::run_round() {
   FEDPOWER_EXPECTS(!server_.global_model().empty());
-  const std::vector<std::size_t> participants = draw_participants();
-  const std::size_t retries_before = total_transport_retries();
+  // The draw is FederatedAveraging's with defense off, so both drivers
+  // consume the participation stream identically.
+  const std::vector<std::size_t> participants =
+      loop_.draw_participants(nullptr);
   server_.begin_round(participants);
   const std::uint64_t base_version = server_.version();
 
-  // Broadcast (Algorithm 2 line 3), one transfer per participant in index
-  // order — the same call sequence as the synchronous server, so a
-  // fault-injection stream decides identical fates on both paths.
-  std::size_t downlink_bytes = 0;
-  std::vector<char> lost(clients_.size(), 0);
-  // Per-client latency this round, measured exactly like the synchronous
-  // server (serial transfers make the delta attribution exact).
-  const bool deadline_armed = deadline_s_ > 0.0;
-  std::vector<double> link_latency(deadline_armed ? clients_.size() : 0, 0.0);
-  const std::vector<std::uint8_t> broadcast =
-      codec_->encode(server_.global_model());
-  for (const std::size_t i : participants) {
-    const double latency_before =
-        deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
-    try {
-      const auto delivered =
-          transport_for(i).transfer(fed::Direction::kDownlink, broadcast);
-      clients_[i]->receive_global(codec_->decode(delivered));
-      downlink_bytes += delivered.size();
-    } catch (const fed::TransportError&) {
-      lost[i] = 1;
-    } catch (const std::invalid_argument&) {
-      lost[i] = 1;
-    }
-    if (deadline_armed)
-      link_latency[i] =
-          transport_for(i).cumulative_latency_s() - latency_before;
-  }
-
-  // Local training (line 5), parallel with a barrier; clients own disjoint
-  // state so the schedule cannot change what they learn.
-  std::vector<std::size_t> training;
-  training.reserve(participants.size());
-  for (const std::size_t i : participants)
-    if (!lost[i]) training.push_back(i);
-  util::for_each_index(executor_, training.size(), [&](std::size_t k) {
-    clients_[training[k]]->run_local_round();
-  });
-
-  // Uplink (line 6), serial and in client-index order. The transfer call
-  // matches the synchronous server; the decoded payload goes to the shard
-  // pipeline instead of being aggregated inline.
-  std::vector<char> straggler(clients_.size(), 0);
-  for (const std::size_t i : training) {
-    try {
-      const double latency_before =
-          deadline_armed ? transport_for(i).cumulative_latency_s() : 0.0;
-      auto payload = transport_for(i).transfer(
-          fed::Direction::kUplink,
-          codec_->encode(clients_[i]->local_parameters()));
-      if (deadline_armed) {
-        // Deadline demotion (DESIGN.md §13): an over-budget upload is never
-        // submitted, so the shard pipeline sees exactly what the
-        // synchronous server would — a participant that never arrived —
-        // and commit_round books it as a dropout.
-        const double round_latency =
-            link_latency[i] +
-            (transport_for(i).cumulative_latency_s() - latency_before);
-        if (round_latency > deadline_s_) {
-          straggler[i] = 1;
-          continue;
-        }
-      }
-      server_.submit(i, base_version, std::move(payload),
-                     static_cast<double>(clients_[i]->local_sample_count()));
-    } catch (const fed::TransportError&) {
-      lost[i] = 1;
-    } catch (const std::invalid_argument&) {
-      lost[i] = 1;
-    }
-  }
+  // Every delivered upload goes to the shard pipeline. An upload the
+  // deadline demoted never reaches the sink, so the pipeline sees exactly
+  // what the synchronous server would — a participant that never arrived —
+  // and commit_round books it as a dropout.
+  const fed::ClientExchange exchange = loop_.exchange(
+      participants, server_.global_model(),
+      [&](std::size_t i, std::vector<std::uint8_t> payload) {
+        server_.submit(
+            i, base_version, std::move(payload),
+            static_cast<double>(loop_.client(i).local_sample_count()));
+        return true;
+      });
 
   fed::RoundResult result = server_.commit_round(quorum_);
   for (const std::size_t i : participants)
-    if (straggler[i]) result.stragglers.push_back(i);
-  result.downlink_bytes = downlink_bytes;
-  result.transport_retries = total_transport_retries() - retries_before;
+    if (exchange.straggler[i]) result.stragglers.push_back(i);
+  result.downlink_bytes = exchange.downlink_bytes;
+  result.transport_retries = exchange.transport_retries;
   ++rounds_completed_;
   return result;
 }
@@ -202,21 +84,22 @@ constexpr ckpt::Tag kServeFedTag{'S', 'F', 'E', 'D'};
 
 void ServeFederation::save_state(ckpt::Writer& out) const {
   ckpt::write_tag(out, kServeFedTag);
-  out.u64(clients_.size());
+  out.u64(loop_.client_count());
   out.u64(rounds_completed_);
-  ckpt::save_rng(out, participation_rng_);
+  ckpt::save_rng(out, loop_.participation_rng());
   server_.save_state(out);
 }
 
 void ServeFederation::restore_state(ckpt::Reader& in) {
   ckpt::expect_tag(in, kServeFedTag, "serve federation driver");
   const std::uint64_t client_count = in.u64();
-  if (client_count != clients_.size())
+  if (client_count != loop_.client_count())
     throw ckpt::StateMismatchError(
         "serve snapshot was taken with " + std::to_string(client_count) +
-        " client(s), this federation has " + std::to_string(clients_.size()));
+        " client(s), this federation has " +
+        std::to_string(loop_.client_count()));
   rounds_completed_ = static_cast<std::size_t>(in.u64());
-  ckpt::restore_rng(in, participation_rng_);
+  ckpt::restore_rng(in, loop_.participation_rng());
   server_.restore_state(in);
 }
 

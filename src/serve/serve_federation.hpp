@@ -1,15 +1,16 @@
 // Round driver that runs the synchronous federated-averaging protocol
 // through the sharded serve pipeline (DESIGN.md §12).
 //
-// ServeFederation mirrors FederatedAveraging's round shape — draw
-// participants, broadcast, parallel local training, serial uplink in
-// client-index order — but hands every uplink to a ShardedServer instead
-// of aggregating inline. In deterministic commit mode the result is
-// bit-identical to FederatedAveraging at any worker count: the transfer
-// sequence is the same call-for-call (so fault-injection streams line up),
-// the participant draw consumes the same RNG stream, and the commit runs
-// the same fed::aggregate_with_mode over the same survivor order. In
-// throughput mode the server merges FedAsync-style instead.
+// ServeFederation runs the same client half of the round as
+// FederatedAveraging — fed::RoundLoop's draw, broadcast, parallel local
+// training and serial uplink in client-index order — but its upload sink
+// submits every delivered upload to a ShardedServer instead of aggregating
+// inline. In deterministic commit mode the result is bit-identical to
+// FederatedAveraging at any worker count: the transfer sequence is the
+// same call-for-call (so fault-injection streams line up), the participant
+// draw consumes the same RNG stream, and the commit runs the same
+// fed::aggregate_with_mode over the same survivor order. In throughput
+// mode the server merges FedAsync-style instead.
 //
 // Defense screening is not routed through this driver (the worker-shard
 // verdicts cover transport-level screening); configurations that need the
@@ -25,7 +26,6 @@
 #include "fed/transport.hpp"
 #include "serve/server.hpp"
 #include "util/executor.hpp"
-#include "util/rng.hpp"
 
 namespace fedpower::serve {
 
@@ -73,7 +73,7 @@ class ServeFederation {
     return rounds_completed_;
   }
   [[nodiscard]] std::size_t client_count() const noexcept {
-    return clients_.size();
+    return loop_.client_count();
   }
   [[nodiscard]] const ServeStats& server_stats() const noexcept {
     return server_.stats();
@@ -86,25 +86,11 @@ class ServeFederation {
   void restore_state(ckpt::Reader& in);
 
  private:
-  std::vector<std::size_t> draw_participants();
-  fed::Transport& transport_for(std::size_t client) noexcept;
-  std::size_t total_transport_retries() const;
-
-  std::vector<fed::FederatedClient*> clients_;
-  fed::Transport* transport_;  // lint: ckpt-skip(non-owning wiring; re-attached before resuming)
-  // lint: ckpt-skip(non-owning wiring; re-attached before resuming)
-  std::vector<fed::Transport*> client_transports_;
-  // lint: ckpt-skip(lazy cache rebuilt from the transports on demand)
-  mutable std::vector<const fed::Transport*> transport_dedup_;
-  mutable bool transport_dedup_stale_ = true;  // lint: ckpt-skip(lazy cache flag; stale default makes resume rebuild)
-  const fed::ModelCodec* codec_;  // lint: ckpt-skip(non-owning strategy object; re-wired on resume)
+  /// Wiring and config plus the participation stream, which save_state
+  /// checkpoints. Declared before server_, which is built from its codec.
+  fed::RoundLoop loop_;
   ShardedServer server_;
-  util::ParallelFor executor_;  // lint: ckpt-skip(thread pool handle; rounds are width-invariant)
-
-  fed::SamplingConfig sampling_;  // lint: ckpt-skip(construction config, fixed for the run)
-  util::Rng participation_rng_{sampling_.seed};
   std::size_t quorum_ = 1;  // lint: ckpt-skip(construction config, fixed for the run)
-  double deadline_s_ = 0.0;  // lint: ckpt-skip(construction config, fixed for the run)
   std::size_t rounds_completed_ = 0;
 };
 

@@ -1,5 +1,5 @@
-// Serve-subsystem wire format, layered on the existing TCP framing
-// (u32 LE length + direction byte + payload, fed/tcp_transport.hpp).
+// Serve-subsystem wire format, layered on the fed framing
+// (u32 LE length + direction byte + payload, fed/transport.hpp).
 //
 // An uplink frame's payload carries a 16-byte header in front of the codec
 // bytes so the front end can route the frame to the right shard without
@@ -30,7 +30,7 @@
 #include <span>
 #include <vector>
 
-#include "fed/tcp_transport.hpp"
+#include "fed/transport.hpp"
 
 namespace fedpower::serve {
 

@@ -73,7 +73,7 @@ TEST(FaultTolerance, DownlinkFaultDropsClientAndSkipsItsTraining) {
   server.initialize({0.0});
   const RoundResult result = server.run_round();
   EXPECT_EQ(result.dropped, (std::vector<std::size_t>{1}));
-  EXPECT_EQ(result.survivors(), 1u);
+  EXPECT_EQ(result.effective_clients(), 1u);
   EXPECT_EQ(b.receives(), 0);
   EXPECT_EQ(b.rounds(), 0);  // unreachable clients must not train
   EXPECT_NEAR(server.global_model()[0], 1.0, 1e-6);  // a alone
@@ -101,7 +101,7 @@ TEST(FaultTolerance, CleanRoundsReportNoDropouts) {
   server.initialize({0.0});
   const RoundResult result = server.run_round();
   EXPECT_TRUE(result.dropped.empty());
-  EXPECT_EQ(result.survivors(), 2u);
+  EXPECT_EQ(result.effective_clients(), 2u);
   EXPECT_EQ(result.transport_retries, 0u);
 }
 

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
+#include <string>
 
 #include "fed/aggregate.hpp"
 #include "util/rng.hpp"
@@ -28,7 +30,16 @@ std::vector<std::vector<double>> random_models(std::size_t n,
                                                 std::size_t dim,
                                                 std::uint64_t seed);
 
-class AggregationProperties : public ::testing::TestWithParam<Aggregator> {
+// A named rule, so gtest (and ctest's discovered test names) print the rule
+// name rather than a function address that changes from run to run.
+struct Rule {
+  const char* name;
+  Aggregator aggregate;
+};
+
+void PrintTo(const Rule& rule, std::ostream* os) { *os << rule.name; }
+
+class AggregationProperties : public ::testing::TestWithParam<Rule> {
  protected:
   static std::vector<std::vector<double>> make_models(std::size_t n,
                                                         std::size_t dim,
@@ -49,11 +60,11 @@ std::vector<std::vector<double>> random_models(std::size_t n,
 
 TEST_P(AggregationProperties, PermutationInvariant) {
   auto models = AggregationProperties::make_models(5, 16, 1);
-  const auto expected = GetParam()(models);
+  const auto expected = GetParam().aggregate(models);
   util::Rng rng(2);
   for (int trial = 0; trial < 5; ++trial) {
     rng.shuffle(models);
-    const auto permuted = GetParam()(models);
+    const auto permuted = GetParam().aggregate(models);
     ASSERT_EQ(permuted.size(), expected.size());
     // Floating-point summation is not exactly reorder-invariant; allow
     // round-off-level differences.
@@ -65,14 +76,14 @@ TEST_P(AggregationProperties, PermutationInvariant) {
 TEST_P(AggregationProperties, IdenticalModelsAreFixedPoint) {
   const std::vector<double> model = {0.25, -1.5, 3.0, 0.0};
   const std::vector<std::vector<double>> models(4, model);
-  const auto global = GetParam()(models);
+  const auto global = GetParam().aggregate(models);
   for (std::size_t i = 0; i < model.size(); ++i)
     EXPECT_NEAR(global[i], model[i], 1e-12);
 }
 
 TEST_P(AggregationProperties, ResultWithinClientEnvelope) {
   const auto models = AggregationProperties::make_models(7, 32, 3);
-  const auto global = GetParam()(models);
+  const auto global = GetParam().aggregate(models);
   for (std::size_t i = 0; i < global.size(); ++i) {
     double lo = models[0][i];
     double hi = models[0][i];
@@ -88,25 +99,22 @@ TEST_P(AggregationProperties, ResultWithinClientEnvelope) {
 TEST_P(AggregationProperties, TranslationEquivariant) {
   // agg(models + c) == agg(models) + c, coordinate-wise.
   auto models = AggregationProperties::make_models(5, 8, 4);
-  const auto base = GetParam()(models);
+  const auto base = GetParam().aggregate(models);
   const double shift = 0.37;
   for (auto& model : models)
     for (double& p : model) p += shift;
-  const auto shifted = GetParam()(models);
+  const auto shifted = GetParam().aggregate(models);
   for (std::size_t i = 0; i < base.size(); ++i)
     EXPECT_NEAR(shifted[i], base[i] + shift, 1e-12);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Rules, AggregationProperties,
-    ::testing::Values(static_cast<Aggregator>(&average_unweighted),
-                      &median_wrapper, &trimmed_wrapper),
-    [](const ::testing::TestParamInfo<Aggregator>& param_info) {
-      switch (param_info.index) {
-        case 0: return std::string("mean");
-        case 1: return std::string("median");
-        default: return std::string("trimmed");
-      }
+    ::testing::Values(Rule{"mean", &average_unweighted},
+                      Rule{"median", &median_wrapper},
+                      Rule{"trimmed", &trimmed_wrapper}),
+    [](const ::testing::TestParamInfo<Rule>& param_info) {
+      return std::string(param_info.param.name);
     });
 
 TEST(AveragingContraction, MeanReducesClientSpread) {

@@ -60,6 +60,34 @@ TEST(InProcessTransport, EmptyPayloadStillCountsTransfer) {
   EXPECT_EQ(transport.stats().uplink_bytes, 0u);
 }
 
+TEST(TcpFraming, GoldenBytesAreLittleEndian) {
+  // Wire contract: u32 LE length of (direction byte + payload), then the
+  // direction byte, then the payload — independent of host byte order.
+  const std::vector<std::uint8_t> downlink =
+      encode_frame(Direction::kDownlink, std::vector<std::uint8_t>{0xAA,
+                                                                   0xBB});
+  EXPECT_EQ(downlink, (std::vector<std::uint8_t>{0x03, 0x00, 0x00, 0x00,
+                                                 0x01, 0xAA, 0xBB}));
+  const std::vector<std::uint8_t> empty_uplink =
+      encode_frame(Direction::kUplink, std::vector<std::uint8_t>{});
+  EXPECT_EQ(empty_uplink,
+            (std::vector<std::uint8_t>{0x01, 0x00, 0x00, 0x00, 0x00}));
+}
+
+TEST(TcpFraming, U32RoundTrip) {
+  std::uint8_t bytes[4];
+  store_u32_le(0x12345678u, bytes);
+  EXPECT_EQ(bytes[0], 0x78);
+  EXPECT_EQ(bytes[1], 0x56);
+  EXPECT_EQ(bytes[2], 0x34);
+  EXPECT_EQ(bytes[3], 0x12);
+  EXPECT_EQ(load_u32_le(bytes), 0x12345678u);
+  store_u32_le(0u, bytes);
+  EXPECT_EQ(load_u32_le(bytes), 0u);
+  store_u32_le(0xFFFFFFFFu, bytes);
+  EXPECT_EQ(load_u32_le(bytes), 0xFFFFFFFFu);
+}
+
 TEST(InProcessTransportDeathTest, RejectsBadParameters) {
   EXPECT_DEATH(InProcessTransport(-1.0, 100.0), "precondition");
   EXPECT_DEATH(InProcessTransport(0.0, 0.0), "precondition");

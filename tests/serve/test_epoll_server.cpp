@@ -22,15 +22,15 @@
 
 #include "fed/codec.hpp"
 #include "fed/federation.hpp"
-#include "fed/tcp_transport.hpp"
+#include "fed/transport.hpp"
 #include "serve/server.hpp"
 #include "serve/wire.hpp"
 
 namespace fedpower::serve {
 namespace {
 
-/// Minimal blocking TCP client speaking the raw frame protocol — the
-/// front end is not an echo peer, so TcpTransport cannot drive it.
+/// Minimal blocking TCP client speaking the raw frame protocol, so tests
+/// can send frames ServeClient never would (bad lengths, partial frames).
 class RawClient {
  public:
   explicit RawClient(std::uint16_t port) {

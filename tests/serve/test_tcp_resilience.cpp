@@ -1,8 +1,9 @@
 // TCP resilience surface (DESIGN.md §14): uplink re-send idempotence at
 // 1/2/4 workers, the deterministic-mode stale-replay guard, the
 // session-resume handshake (valid + malformed), idle half-open reaping,
-// the commit_then_begin no-gap contract, and client reconnect through a
-// scheduled connection reset.
+// the commit_then_begin no-gap contract, client reconnect through a
+// scheduled connection reset, and ServeClient's reply-frame validation
+// against a scripted raw-socket peer.
 #include <arpa/inet.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
@@ -15,12 +16,13 @@
 #include <cstdint>
 #include <span>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "chaos/tcp_chaos_proxy.hpp"
 #include "fed/codec.hpp"
-#include "fed/tcp_transport.hpp"
+#include "fed/transport.hpp"
 #include "serve/client.hpp"
 #include "serve/epoll_server.hpp"
 #include "serve/server.hpp"
@@ -29,8 +31,8 @@
 namespace fedpower::serve {
 namespace {
 
-/// Minimal blocking client speaking raw frames (the front end is not an
-/// echo peer, so TcpTransport cannot drive it).
+/// Minimal blocking client speaking raw frames, for wire-level checks
+/// below the ServeClient retry layer.
 class RawClient {
  public:
   explicit RawClient(std::uint16_t port) {
@@ -365,6 +367,103 @@ TEST(TcpResilience, UploadReportsAnObsoleteBaseVersion) {
   EXPECT_FALSE(
       client.upload(0, 1, fed::Float32Codec::instance().encode(std::vector<double>{1.0})));
   EXPECT_DOUBLE_EQ(server.global_model()[0], 9.0);  // nothing was sent
+}
+
+/// One-shot raw peer: accepts a single connection, reads the client's
+/// complete first frame (the resume handshake), writes the scripted reply
+/// bytes verbatim and closes — for golden-bytes tests of ServeClient's
+/// decode-side frame validation.
+class ScriptedPeer {
+ public:
+  explicit ScriptedPeer(std::vector<std::uint8_t> reply)
+      : reply_(std::move(reply)) {
+    listener_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(listener_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    addr.sin_port = 0;
+    EXPECT_EQ(::bind(listener_, reinterpret_cast<sockaddr*>(&addr),
+                     sizeof addr),
+              0);
+    socklen_t len = sizeof addr;
+    ::getsockname(listener_, reinterpret_cast<sockaddr*>(&addr), &len);
+    port_ = ntohs(addr.sin_port);
+    EXPECT_EQ(::listen(listener_, 1), 0);
+    thread_ = std::thread([this] {
+      const int conn = ::accept(listener_, nullptr, nullptr);
+      if (conn < 0) return;
+      std::uint8_t header[4];
+      const ssize_t got = ::recv(conn, header, sizeof header, MSG_WAITALL);
+      if (got == static_cast<ssize_t>(sizeof header)) {
+        std::vector<std::uint8_t> body(fed::load_u32_le(header));
+        if (!body.empty()) {
+          const ssize_t ignored =
+              ::recv(conn, body.data(), body.size(), MSG_WAITALL);
+          (void)ignored;
+        }
+      }
+      const ssize_t sent =
+          ::send(conn, reply_.data(), reply_.size(), MSG_NOSIGNAL);
+      (void)sent;
+      ::close(conn);
+    });
+  }
+  ~ScriptedPeer() {
+    thread_.join();
+    ::close(listener_);
+  }
+  ScriptedPeer(const ScriptedPeer&) = delete;
+  ScriptedPeer& operator=(const ScriptedPeer&) = delete;
+
+  std::uint16_t port() const noexcept { return port_; }
+
+ private:
+  int listener_ = -1;
+  std::uint16_t port_ = 0;
+  std::vector<std::uint8_t> reply_;
+  std::thread thread_;
+};
+
+/// The message of the TransportError one resume() attempt raises against
+/// the scripted peer, or "" when it succeeds.
+std::string resume_error(const ScriptedPeer& peer) {
+  ServeClientConfig config;
+  config.port = peer.port();
+  config.max_attempts = 1;
+  config.connect_timeout_s = 2.0;
+  config.io_timeout_s = 2.0;
+  ServeClient client(config);
+  try {
+    client.resume();
+  } catch (const fed::TransportError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(ServeClient, OversizedAdvertisedLengthRejectedBeforeAllocation) {
+  // Golden bytes: a reply header advertising 0xFFFFFFFF (> kMaxFrameBytes)
+  // must be refused with the distinct bad-length error before the length
+  // is trusted for allocation.
+  ScriptedPeer oversized({0xFF, 0xFF, 0xFF, 0xFF});
+  EXPECT_EQ(resume_error(oversized), "serve client: bad frame length");
+  // A zero length (no direction byte) is refused the same way.
+  ScriptedPeer empty({0x00, 0x00, 0x00, 0x00});
+  EXPECT_EQ(resume_error(empty), "serve client: bad frame length");
+}
+
+TEST(ServeClient, ShortReadMidFrameReportsTruncation) {
+  // Golden bytes: the reply advertises 17 bytes (direction byte + a 16-byte
+  // resume reply) but delivers only the direction byte and 2 body bytes
+  // before closing. The short read must surface as the distinct
+  // truncated-frame error, not as a generic peer-closed; a close before
+  // any reply byte is the peer-closed case.
+  ScriptedPeer truncated({0x11, 0x00, 0x00, 0x00, kResumeDirection, 0x01,
+                          0x02});
+  EXPECT_EQ(resume_error(truncated), "serve client: truncated frame");
+  ScriptedPeer silent({});
+  EXPECT_EQ(resume_error(silent), "serve client: peer closed");
 }
 
 }  // namespace

@@ -69,7 +69,6 @@ TEST(LintNondet, AllowlistedFilesAreExempt) {
   const std::string src = "int a() { return rand(); }\n";
   EXPECT_FALSE(lint_source("src/core/x.cpp", src).empty());
   EXPECT_TRUE(lint_source("src/util/rng.cpp", src).empty());
-  EXPECT_TRUE(lint_source("src/fed/tcp_transport.cpp", src).empty());
 }
 
 TEST(LintNondet, SameLineWaiverSuppresses) {
@@ -347,7 +346,6 @@ TEST(LintSyscall, EventLoopTranslationUnitsAreExempt) {
   const std::string src = "int a() { return epoll_create1(0); }\n";
   EXPECT_FALSE(lint_source("src/serve/server.cpp", src).empty());
   EXPECT_TRUE(lint_source("src/serve/epoll_server.cpp", src).empty());
-  EXPECT_TRUE(lint_source("src/fed/tcp_transport.cpp", src).empty());
 }
 
 TEST(LintSyscall, OutsideSrcAndMembersAndMentionsAreClean) {

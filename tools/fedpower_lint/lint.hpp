@@ -26,9 +26,8 @@
 //                      so every on-disk artifact is atomic and checksummed
 //   L7-raw-syscall     no raw event-loop syscalls (epoll_create/epoll_ctl/
 //                      epoll_wait/eventfd/accept4) in src/ outside the
-//                      designated event-loop translation units — socket
-//                      plumbing stays confined to the transport and the
-//                      serve front end
+//                      designated event-loop translation unit — socket
+//                      plumbing stays confined to the serve front end
 //
 // On top of the token-stream rules, the declaration-aware contract analyzer
 // (analyze.hpp) adds L8-ckpt-coverage, L9-ckpt-symmetry and
@@ -70,12 +69,10 @@ struct Finding {
 /// Rule scoping. Paths are repository-relative with forward slashes; a file
 /// matches a dir entry when it lives underneath it.
 struct Options {
-  /// Files exempt from L1 (the determinism contract's designated owners:
-  /// the RNG implementation itself and the transport timeout code).
+  /// Files exempt from L1 (the determinism contract's designated owner:
+  /// the RNG implementation itself).
   std::vector<std::string> nondet_allowlist = {
       "src/util/rng.cpp",
-      "src/fed/tcp_transport.cpp",
-      "src/fed/tcp_transport.hpp",
   };
   /// Dirs where hash-container iteration order could leak into results.
   std::vector<std::string> determinism_dirs = {
@@ -98,10 +95,9 @@ struct Options {
   /// Dirs covered by the raw-syscall rule (L7).
   std::vector<std::string> syscall_dirs = {"src"};
   /// Translation units allowed to issue event-loop syscalls directly: the
-  /// blocking TCP transport and the serve subsystem's epoll front end.
-  /// Everything else talks to sockets through those layers.
+  /// serve subsystem's epoll front end. Everything else talks to sockets
+  /// through that layer.
   std::vector<std::string> syscall_allowlist = {
-      "src/fed/tcp_transport.cpp",
       "src/serve/epoll_server.cpp",
   };
   /// Dirs covered by the checkpoint-contract rules (L8/L9). Classes whose
